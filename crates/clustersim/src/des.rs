@@ -1,243 +1,39 @@
-//! The discrete-event simulation core (ROADMAP item 1, modeled on the
-//! dslab idiom): a [`Simulation`] owns the global [`EventQueue`] and a set
-//! of registered [`EventHandler`] components; each pop advances the
-//! virtual clock and dispatches the payload to its target component, which
-//! may schedule follow-up events through the [`SimCtx`] it is handed.
+//! The scale path of the discrete-event simulator: [`run_scale`] sweeps
+//! clusters of up to tens of thousands of nodes and millions of jobs in
+//! one process. A single driver pops the global [`EventQueue`] and steps
+//! the real [`SchedulerCore`] (no per-rank threads), with `O(log n)`
+//! queue operations and periodic folding of terminal-job state
+//! ([`SchedulerCore::prune_terminal`]) so memory stays bounded by the
+//! *live* job count, not the trace length.
 //!
 //! # Determinism contract
 //!
 //! The queue's pop order is a total order on `(time, tie-key, seq)` (see
 //! [`crate::event`]): two runs that push the same events in the same
-//! program order pop them in the same order, execute the same component
-//! code against the same [`SchedulerCore`] state, and therefore produce
+//! program order pop them in the same order, execute the same driver code
+//! against the same [`SchedulerCore`] state, and therefore produce
 //! byte-identical results — floating point included, because the sequence
-//! of arithmetic is identical. `sim.rs` exploits this to keep the DES
-//! engine bitwise-equal to the legacy step loop (proved over 256 seeds by
-//! `tests/des_equivalence.rs`).
+//! of arithmetic is identical. `sim.rs` relies on the same contract to keep
+//! [`crate::ClusterSim::run`] pinned to its recorded snapshots.
 //!
 //! # Clock-source rules
 //!
-//! Components must stamp everything — scheduler calls, telemetry, trace
-//! spans — with [`SimCtx::now`], never wall time, and may only schedule at
-//! `time >= now` (the queue would still order a stale event correctly, but
-//! causality back-edges are always bugs; [`SimCtx::schedule`] asserts).
-//! Wall time exists solely *outside* the event loop, to report how fast
-//! the simulator itself ran ([`ScaleReport::wall_seconds`]).
-//!
-//! # Scale path
-//!
-//! [`run_scale`] sweeps clusters of up to tens of thousands of nodes and
-//! millions of jobs in one process: a single self-scheduling component
-//! drives the real [`SchedulerCore`] (no per-rank threads), with `O(log n)`
-//! queue operations and periodic folding of terminal-job state
-//! ([`SchedulerCore::prune_terminal`]) so memory stays bounded by the
-//! *live* job count, not the trace length.
+//! Drivers stamp everything — scheduler calls, telemetry, trace spans —
+//! with the popped event's virtual time, never wall time, and may only
+//! schedule at `time >= now` (`EventQueue::schedule` asserts: a causality
+//! back-edge is always a bug). Wall time exists solely *outside* the event
+//! loop, to report how fast the simulator itself ran
+//! ([`ScaleReport::wall_seconds`]).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use reshape_core::{
-    Directive, EventKind, JobId, JobSpec, JobState, ProcessorConfig, QueuePolicy, SchedulerCore,
+    Directive, JobId, JobSpec, JobState, ProcessorConfig, QueuePolicy, SchedulerCore,
     TopologyPref,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::event::{mix, EventQueue, TieBreak};
-use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
-use crate::sim::RedistMode;
-
-/// Index of a registered component; assigned sequentially by
-/// [`Simulation::add_component`].
-pub type ComponentId = usize;
-
-/// A simulation component: receives the events addressed to it and may
-/// schedule follow-ups via the context.
-pub trait EventHandler<P> {
-    fn handle(&mut self, payload: P, ctx: &mut SimCtx<'_, P>);
-}
-
-/// What a component sees while handling an event: the frozen virtual clock
-/// and the scheduling surface of the global queue.
-pub struct SimCtx<'q, P> {
-    now: f64,
-    queue: &'q mut EventQueue<(ComponentId, P)>,
-}
-
-impl<'q, P> SimCtx<'q, P> {
-    /// The virtual time of the event being handled.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Schedule `payload` for `component` at absolute virtual time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` precedes the current event (causality back-edge)
-    /// or is not finite.
-    pub fn schedule(&mut self, time: f64, component: ComponentId, payload: P) {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {time} < {now}",
-            now = self.now
-        );
-        self.queue.push(time, (component, payload));
-    }
-}
-
-/// The simulation facade: global event queue + registered components +
-/// virtual clock.
-pub struct Simulation<'a, P> {
-    queue: EventQueue<(ComponentId, P)>,
-    handlers: Vec<Rc<RefCell<dyn EventHandler<P> + 'a>>>,
-    now: f64,
-    processed: u64,
-}
-
-impl<'a, P> Default for Simulation<'a, P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, P> Simulation<'a, P> {
-    /// A simulation whose simultaneous events drain in scheduling order
-    /// (FIFO tie-break — the legacy-compatible total order).
-    pub fn new() -> Self {
-        Self::with_tie_break(TieBreak::Fifo)
-    }
-
-    /// A simulation with an explicit tie-break policy;
-    /// `TieBreak::Seeded(s)` gives a seeded total order among simultaneous
-    /// events.
-    pub fn with_tie_break(tie: TieBreak) -> Self {
-        Simulation {
-            queue: EventQueue::with_tie_break(tie),
-            handlers: Vec::new(),
-            now: 0.0,
-            processed: 0,
-        }
-    }
-
-    /// Register a component; events are addressed by the returned id.
-    pub fn add_component(&mut self, handler: Rc<RefCell<dyn EventHandler<P> + 'a>>) -> ComponentId {
-        self.handlers.push(handler);
-        self.handlers.len() - 1
-    }
-
-    /// Schedule an event from outside any handler (seeding the run).
-    pub fn schedule(&mut self, time: f64, component: ComponentId, payload: P) {
-        assert!(time.is_finite(), "event time must be finite");
-        self.queue.push(time, (component, payload));
-    }
-
-    /// The virtual clock: time of the last dispatched event.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Events dispatched so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Events currently queued.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Dispatch the earliest event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, (component, payload))) = self.queue.pop() else {
-            return false;
-        };
-        self.now = time;
-        self.processed += 1;
-        let handler = self.handlers[component].clone();
-        let mut ctx = SimCtx {
-            now: time,
-            queue: &mut self.queue,
-        };
-        handler.borrow_mut().handle(payload, &mut ctx);
-        true
-    }
-
-    /// Run until the queue drains; returns total events dispatched.
-    pub fn run(&mut self) -> u64 {
-        while self.step() {}
-        self.processed
-    }
-
-    /// Run while the next event is stamped `<= until`; returns total
-    /// events dispatched so far.
-    pub fn run_until(&mut self, until: f64) -> u64 {
-        while self.queue.peek_time().is_some_and(|t| t <= until) {
-            self.step();
-        }
-        self.processed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency models
-// ---------------------------------------------------------------------------
-
-/// Pluggable pricing of resize side effects: how long a redistribution
-/// takes (and its phase decomposition, when available) and how long
-/// process spawning takes. The default model ([`MachineLatency`]) prices
-/// redistribution from the real communication schedules under the
-/// machine's network model and treats spawning as free — exactly the
-/// legacy simulator's behavior, which keeps default runs bitwise-identical
-/// to it.
-pub trait LatencyModel {
-    /// Seconds to redistribute `model`'s data between the two
-    /// configurations, plus the pack/transfer/unpack decomposition when
-    /// the pricing path has one.
-    fn redistribution(
-        &self,
-        model: &AppModel,
-        from: ProcessorConfig,
-        to: ProcessorConfig,
-    ) -> (f64, Option<RedistProfile>);
-
-    /// Seconds to spawn the processes of an expansion (paid before the
-    /// redistribution). Defaults to free, matching the legacy simulator.
-    fn spawn_overhead(&self, _from: ProcessorConfig, _to: ProcessorConfig) -> f64 {
-        0.0
-    }
-}
-
-/// The default latency model: redistribution priced from the calibrated
-/// machine parameters under the selected [`RedistMode`], spawn free.
-#[derive(Clone, Copy, Debug)]
-pub struct MachineLatency {
-    pub machine: MachineParams,
-    pub mode: RedistMode,
-}
-
-impl LatencyModel for MachineLatency {
-    fn redistribution(
-        &self,
-        model: &AppModel,
-        from: ProcessorConfig,
-        to: ProcessorConfig,
-    ) -> (f64, Option<RedistProfile>) {
-        match self.mode {
-            RedistMode::Reshape => {
-                let prof = model.redist_profile(from, to, &self.machine);
-                (prof.total_seconds, Some(prof))
-            }
-            RedistMode::Checkpoint => {
-                (model.checkpoint_redist_cost(from, to, &self.machine), None)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scale path: 10,000-node / 1,000,000-job sweeps
-// ---------------------------------------------------------------------------
 
 /// Configuration of a [`run_scale`] sweep. The seed fully determines the
 /// synthetic job stream (sizes, lengths, arrival gaps), so a report is
@@ -322,7 +118,7 @@ pub struct ScaleReport {
 const SCALE_SPAWN_COST: f64 = 1.0;
 
 /// Terminal records accumulated before the driver folds scheduler state
-/// (drains the event trace into counters, prunes terminal jobs).
+/// (drops the event trace, prunes terminal jobs).
 const FOLD_THRESHOLD: usize = 16_384;
 
 #[derive(Debug)]
@@ -377,17 +173,17 @@ struct LiveScaleJob {
     last_redist: f64,
 }
 
-/// The single self-scheduling component of the scale sweep: arrival
-/// source and per-job driver in one, against the real scheduler.
+/// The scale sweep's driver: arrival source and per-job driver in one,
+/// against the real scheduler.
 struct ScaleDriver {
     cfg: ScaleConfig,
-    me: ComponentId,
     core: SchedulerCore,
     live: HashMap<JobId, LiveScaleJob>,
     mean_gap: f64,
     last_now: f64,
     terminal_since_fold: usize,
-    // Folded counters from the drained scheduler trace.
+    // Outcome counters, taken from the scheduler calls and directives the
+    // driver sees (the trace is capped, so it cannot be the source).
     finished: u64,
     failed: u64,
     cancelled: u64,
@@ -403,7 +199,6 @@ impl ScaleDriver {
             mean_gap: mean_gap(&cfg),
             core: SchedulerCore::new(cfg.nodes, QueuePolicy::Fcfs),
             cfg,
-            me: 0,
             live: HashMap::new(),
             last_now: 0.0,
             terminal_since_fold: 0,
@@ -450,40 +245,28 @@ impl ScaleDriver {
         &mut self,
         starts: Vec<reshape_core::StartAction>,
         now: f64,
-        ctx: &mut SimCtx<'_, ScaleEv>,
+        queue: &mut EventQueue<ScaleEv>,
     ) {
         for s in starts {
             let j = self.live.get_mut(&s.job).expect("started job was submitted");
             j.last_redist = 0.0;
-            ctx.schedule(
+            queue.schedule(
+                now,
                 now + j.work / s.config.procs() as f64,
-                self.me,
                 ScaleEv::IterationEnd(s.job),
             );
         }
     }
 
-    /// Drain the scheduler trace into counters and drop terminal-job
-    /// state so a million-job sweep runs in bounded memory.
+    /// Drop the scheduler trace and terminal-job state so a million-job
+    /// sweep runs in bounded memory.
     fn fold(&mut self) {
-        for e in self.core.drain_events() {
-            match e.kind {
-                EventKind::Finished => self.finished += 1,
-                EventKind::Failed { .. } => self.failed += 1,
-                EventKind::Cancelled => self.cancelled += 1,
-                EventKind::Expanded { .. } => self.expansions += 1,
-                EventKind::Shrunk { .. } => self.shrinks += 1,
-                _ => {}
-            }
-        }
+        self.core.drain_events();
         self.records_pruned += self.core.prune_terminal() as u64;
         self.terminal_since_fold = 0;
     }
-}
 
-impl EventHandler<ScaleEv> for ScaleDriver {
-    fn handle(&mut self, ev: ScaleEv, ctx: &mut SimCtx<'_, ScaleEv>) {
-        let now = ctx.now();
+    fn handle(&mut self, ev: ScaleEv, now: f64, queue: &mut EventQueue<ScaleEv>) {
         self.last_now = now;
         match ev {
             ScaleEv::Arrival(i) => {
@@ -498,11 +281,11 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                         last_redist: 0.0,
                     },
                 );
-                self.handle_starts(starts, now, ctx);
+                self.handle_starts(starts, now, queue);
                 self.peak_queue_depth = self.peak_queue_depth.max(self.core.queue_len());
                 if i + 1 < self.cfg.jobs {
                     let gap = -self.mean_gap * u01(mix(self.cfg.seed ^ mix(i) ^ 0xA5A5)).max(1e-12).ln();
-                    ctx.schedule(now + gap, self.me, ScaleEv::Arrival(i + 1));
+                    queue.schedule(now, now + gap, ScaleEv::Arrival(i + 1));
                 }
                 if self.terminal_since_fold >= FOLD_THRESHOLD {
                     self.fold();
@@ -516,9 +299,10 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                 };
                 if remaining == 0 {
                     let starts = self.core.on_finished(id, now);
+                    self.finished += 1;
                     self.live.remove(&id);
                     self.terminal_since_fold += 1;
-                    self.handle_starts(starts, now, ctx);
+                    self.handle_starts(starts, now, queue);
                     return;
                 }
                 let config = match self.core.job(id).map(|r| &r.state) {
@@ -535,12 +319,18 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                 let (next_procs, redist) = match directive {
                     Directive::NoChange => (config.procs(), 0.0),
                     Directive::Terminate => {
+                        self.cancelled += 1;
                         self.live.remove(&id);
                         self.terminal_since_fold += 1;
-                        self.handle_starts(starts, now, ctx);
+                        self.handle_starts(starts, now, queue);
                         return;
                     }
                     Directive::Expand { to, .. } | Directive::Shrink { to } => {
+                        if matches!(directive, Directive::Expand { .. }) {
+                            self.expansions += 1;
+                        } else {
+                            self.shrinks += 1;
+                        }
                         self.core
                             .note_redist_cost(id, config, to, SCALE_SPAWN_COST);
                         (to.procs(), SCALE_SPAWN_COST)
@@ -550,37 +340,40 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                     let j = self.live.get_mut(&id).expect("still live");
                     j.last_redist = redist;
                 }
-                ctx.schedule(
+                queue.schedule(
+                    now,
                     now + redist + work / next_procs as f64,
-                    self.me,
                     ScaleEv::IterationEnd(id),
                 );
-                self.handle_starts(starts, now, ctx);
+                self.handle_starts(starts, now, queue);
             }
         }
     }
 }
 
 /// Sweep a synthetic seeded job stream through the real scheduler on the
-/// DES core: single process, single thread, `O(log n)` queue operations,
-/// bounded memory. See [`ScaleConfig`] / [`ScaleReport`].
+/// DES event queue: single process, single thread, `O(log n)` queue
+/// operations, bounded memory. See [`ScaleConfig`] / [`ScaleReport`].
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     assert!(cfg.nodes >= 8, "need at least 8 nodes");
     let wall_start = std::time::Instant::now();
-    let mut sim: Simulation<'_, ScaleEv> = Simulation::with_tie_break(cfg.tie_break);
-    let driver = Rc::new(RefCell::new(ScaleDriver::new(*cfg)));
-    let me = sim.add_component(driver.clone());
-    driver.borrow_mut().me = me;
+    let mut d = ScaleDriver::new(*cfg);
+    let mut queue = EventQueue::with_tie_break(cfg.tie_break);
     if cfg.jobs > 0 {
-        sim.schedule(0.0, me, ScaleEv::Arrival(0));
+        queue.push(0.0, ScaleEv::Arrival(0));
     }
-    let events_processed = sim.run();
-    drop(sim);
-    let mut d = Rc::try_unwrap(driver)
-        .unwrap_or_else(|_| unreachable!("simulation dropped its handler references"))
-        .into_inner();
+    let mut events_processed = 0u64;
+    while let Some((now, ev)) = queue.pop() {
+        events_processed += 1;
+        d.handle(ev, now, &mut queue);
+    }
     d.fold();
     assert!(d.live.is_empty(), "every job must terminate");
+    assert_eq!(
+        d.finished + d.failed + d.cancelled,
+        cfg.jobs,
+        "every job must be counted terminal"
+    );
     let makespan = d.last_now;
     let utilization = d.core.utilization(makespan);
     let wall_seconds = wall_start.elapsed().as_secs_f64();
@@ -606,74 +399,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal two-component ping/pong: events route to the right
-    /// handlers, the clock advances, and the queue drains.
-    #[test]
-    fn components_exchange_events_on_the_virtual_clock() {
-        struct Ping {
-            peer: ComponentId,
-            seen: Rc<RefCell<Vec<(f64, u32)>>>,
-        }
-        impl EventHandler<u32> for Ping {
-            fn handle(&mut self, n: u32, ctx: &mut SimCtx<'_, u32>) {
-                self.seen.borrow_mut().push((ctx.now(), n));
-                if n > 0 {
-                    ctx.schedule(ctx.now() + 1.0, self.peer, n - 1);
-                }
-            }
-        }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Simulation<'_, u32> = Simulation::new();
-        let a = sim.add_component(Rc::new(RefCell::new(Ping {
-            peer: 1,
-            seen: seen.clone(),
-        })));
-        let b = sim.add_component(Rc::new(RefCell::new(Ping {
-            peer: 0,
-            seen: seen.clone(),
-        })));
-        assert_eq!((a, b), (0, 1));
-        sim.schedule(0.0, a, 3);
-        assert_eq!(sim.run(), 4);
-        assert_eq!(sim.now(), 3.0);
-        assert_eq!(
-            *seen.borrow(),
-            vec![(0.0, 3), (1.0, 2), (2.0, 1), (3.0, 0)]
-        );
-    }
-
-    #[test]
-    fn run_until_stops_at_the_horizon() {
-        struct Tick;
-        impl EventHandler<()> for Tick {
-            fn handle(&mut self, _: (), ctx: &mut SimCtx<'_, ()>) {
-                ctx.schedule(ctx.now() + 1.0, 0, ());
-            }
-        }
-        let mut sim: Simulation<'_, ()> = Simulation::new();
-        let c = sim.add_component(Rc::new(RefCell::new(Tick)));
-        sim.schedule(0.0, c, ());
-        let n = sim.run_until(5.0);
-        assert_eq!(n, 6, "events at t=0..=5");
-        assert_eq!(sim.now(), 5.0);
-        assert_eq!(sim.queued(), 1, "the t=6 event stays queued");
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn causality_back_edges_are_rejected() {
-        struct Bad;
-        impl EventHandler<()> for Bad {
-            fn handle(&mut self, _: (), ctx: &mut SimCtx<'_, ()>) {
-                ctx.schedule(ctx.now() - 1.0, 0, ());
-            }
-        }
-        let mut sim: Simulation<'_, ()> = Simulation::new();
-        let c = sim.add_component(Rc::new(RefCell::new(Bad)));
-        sim.schedule(5.0, c, ());
-        sim.run();
-    }
 
     #[test]
     fn scale_sweep_is_deterministic_and_complete() {

@@ -15,7 +15,7 @@
 //!   correlated with program push order — the tool for shaking out hidden
 //!   ordering assumptions in components.
 //! * [`EventQueue::push_keyed`] lets the caller rank simultaneous events
-//!   explicitly (the testkit's `DesHarness` uses it to encode
+//!   explicitly (the testkit's scenario `Driver` uses it to encode
 //!   "submissions before check-ins, then lowest job id" as a key).
 //!
 //! Push and pop are `O(log n)`; the queue never allocates per event beyond
@@ -128,6 +128,19 @@ impl<P> EventQueue<P> {
         self.push_with(time, key, payload);
     }
 
+    /// Queue `payload` at `time` from a handler running at virtual time
+    /// `now`. The simulator's drivers push follow-up events only through
+    /// this, so a causality back-edge panics at its source instead of
+    /// corrupting downstream state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` precedes `now` or is not finite.
+    pub(crate) fn schedule(&mut self, now: f64, time: f64, payload: P) {
+        assert!(time >= now, "cannot schedule into the past: {time} < {now}");
+        self.push(time, payload);
+    }
+
     fn push_with(&mut self, time: f64, key: u64, payload: P) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         self.seq += 1;
@@ -221,6 +234,13 @@ mod tests {
         q.push_keyed(1.0, 99, "early");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec!["early", "submit", "checkin-j3", "checkin-j9"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn causality_back_edges_are_rejected() {
+        let mut q = EventQueue::new();
+        q.schedule(5.0, 4.0, ());
     }
 
     #[test]

@@ -22,10 +22,7 @@ pub mod perfmodel;
 pub mod sim;
 pub mod workloads;
 
-pub use des::{
-    run_scale, ComponentId, EventHandler, LatencyModel, MachineLatency, ScaleConfig, ScaleReport,
-    SimCtx, Simulation,
-};
+pub use des::{run_scale, ScaleConfig, ScaleReport};
 pub use event::{EventQueue, TieBreak};
 pub use perfmodel::{AppModel, MachineParams, RedistProfile, MODEL_BLOCK};
 pub use sim::{ClusterSim, JobOutcome, RedistMode, SimJob, SimResult, SimTelemetry, WindowSample};

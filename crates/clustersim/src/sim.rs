@@ -8,13 +8,15 @@
 //! milliseconds while exercising exactly the scheduling code a real cluster
 //! would.
 
+use std::collections::HashMap;
 
 use reshape_core::{
     Directive, EventKind, JobId, JobSpec, QueuePolicy, SchedEvent, SchedulerCore, StartAction,
+    DEFAULT_EVENT_CAP,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::des::{LatencyModel, MachineLatency};
+use crate::event::{EventQueue, TieBreak};
 use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
 
 /// How resizing redistributions are priced (the three bars of Figure 3(b)).
@@ -338,18 +340,25 @@ impl SimResult {
     }
 }
 
-/// Simulator event payloads for the DES engine, which routes
-/// arrivals/cancels/failures to the arrival-source component and
-/// iteration ends to the job-driver component. The DES queue's FIFO
-/// tie-break preserves the `(time, seq)` order the deleted legacy step
-/// loop established, which is what keeps runs bitwise-stable against the
-/// recorded snapshots.
+/// Simulator event payloads, all handled by [`ClusterEngine::handle`].
+/// The queue's FIFO tie-break preserves the `(time, seq)` order the
+/// deleted legacy step loop established, which is what keeps runs
+/// bitwise-stable against the recorded snapshots.
 #[derive(Debug)]
 enum Ev {
     Arrival(usize),
     IterationEnd(JobId),
     Cancel(usize),
     Fail(usize),
+}
+
+/// One job's slice of the scheduler trace, gathered in
+/// [`ClusterEngine::finish`]'s single pass.
+#[derive(Default)]
+struct JobTrace {
+    alloc: Vec<(f64, usize)>,
+    expansions: usize,
+    shrinks: usize,
 }
 
 struct JobSim {
@@ -398,14 +407,11 @@ pub struct ClusterSim {
     slot_speeds: Vec<f64>,
     /// Ignore speeds when allocating (placement ablation).
     naive_placement: bool,
-    /// Pluggable spawn/redistribution pricing; `None` = the default
-    /// [`MachineLatency`] model (bitwise-identical to the pre-DES engine).
-    latency: Option<Box<dyn LatencyModel>>,
     /// Ordering of simultaneous events in the DES queue. [`TieBreak::Fifo`]
     /// (the default) reproduces the recorded-snapshot order; seeded
     /// tie-breaks permute simultaneous events to flush order-dependent
     /// policy assumptions.
-    tie_break: crate::event::TieBreak,
+    tie_break: TieBreak,
 }
 
 impl ClusterSim {
@@ -419,8 +425,7 @@ impl ClusterSim {
             reservations: Vec::new(),
             slot_speeds: Vec::new(),
             naive_placement: false,
-            latency: None,
-            tie_break: crate::event::TieBreak::Fifo,
+            tie_break: TieBreak::Fifo,
         }
     }
 
@@ -432,7 +437,7 @@ impl ClusterSim {
     /// (event interleavings legitimately differ), but every job must still
     /// reach the same terminal disposition and the run stays
     /// deterministic for a fixed seed.
-    pub fn with_des_tie_break(mut self, tie: crate::event::TieBreak) -> Self {
+    pub fn with_des_tie_break(mut self, tie: TieBreak) -> Self {
         self.tie_break = tie;
         self
     }
@@ -474,170 +479,81 @@ impl ClusterSim {
         self
     }
 
-    /// Replace the default spawn/redistribution pricing with a custom
-    /// [`LatencyModel`] (see `crate::des`). The default — redistribution
-    /// priced from the machine's communication schedules, spawn free — is
-    /// what every paper experiment uses.
-    pub fn with_latency_model(mut self, latency: Box<dyn LatencyModel>) -> Self {
-        self.latency = Some(latency);
-        self
-    }
-
-    /// Price a resize, with the phase decomposition when the message-based
-    /// path is in use (the checkpoint baseline has no pack/transfer/unpack
-    /// schedule to decompose).
+    /// Price a resize from the machine's communication schedules under
+    /// the selected [`RedistMode`], with the phase decomposition when the
+    /// message-based path is in use (the checkpoint baseline has no
+    /// pack/transfer/unpack schedule to decompose).
     fn redist_cost(
         &self,
         model: &AppModel,
         from: reshape_core::ProcessorConfig,
         to: reshape_core::ProcessorConfig,
     ) -> (f64, Option<RedistProfile>) {
-        match &self.latency {
-            Some(l) => l.redistribution(model, from, to),
-            None => MachineLatency {
-                machine: self.machine,
-                mode: self.redist_mode,
+        match self.redist_mode {
+            RedistMode::Reshape => {
+                let prof = model.redist_profile(from, to, &self.machine);
+                (prof.total_seconds, Some(prof))
             }
-            .redistribution(model, from, to),
-        }
-    }
-
-    /// Process-startup overhead charged before an expansion's
-    /// redistribution. Zero under the default model, which keeps default
-    /// runs bitwise-identical to the pre-DES engine.
-    fn spawn_cost(
-        &self,
-        from: reshape_core::ProcessorConfig,
-        to: reshape_core::ProcessorConfig,
-    ) -> f64 {
-        match &self.latency {
-            Some(l) => l.spawn_overhead(from, to),
-            None => 0.0,
+            RedistMode::Checkpoint => {
+                (model.checkpoint_redist_cost(from, to, &self.machine), None)
+            }
         }
     }
 
     /// Run the workload to completion and report outcomes.
     ///
-    /// Since the DES rewrite this drives the event-queue engine in
-    /// [`crate::des`]. The original inline step loop (`run_legacy`) was
-    /// deleted after the 256-seed bitwise differential suite soaked in
-    /// CI; its behaviour is pinned as recorded result digests in
-    /// `tests/snapshots/des_results.txt`, re-checked by
-    /// `tests/des_equivalence.rs` on every run.
+    /// One loop pops the DES event queue and hands every event to
+    /// `ClusterEngine::handle`, which pushes its follow-up events in the
+    /// same program order as the original inline step loop (`run_legacy`);
+    /// the FIFO tie-break therefore reproduces that loop's `(time, seq)`
+    /// order exactly. The legacy loop was deleted after the 256-seed
+    /// bitwise differential suite soaked in CI; its behaviour is pinned as
+    /// recorded result digests in `tests/snapshots/des_results.txt`,
+    /// re-checked by `tests/des_equivalence.rs` on every run.
     pub fn run(&self, workload: &[SimJob]) -> SimResult {
-        self.run_des(workload)
-    }
-
-    /// Run the workload on the DES engine: an arrival-source component
-    /// (submissions, cancellations, failure injections) and a job-driver
-    /// component (iteration ends / resize points) exchange events through
-    /// the global queue, both mutating the shared `ClusterEngine`. The
-    /// queue's FIFO tie-break reproduces the legacy loop's `(time, seq)`
-    /// order exactly, because events are scheduled in the same program
-    /// order the legacy loop pushed them.
-    fn run_des(&self, workload: &[SimJob]) -> SimResult {
-        use crate::des::{ComponentId, EventHandler, SimCtx, Simulation};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        const ARRIVALS: ComponentId = 0;
-        const DRIVER: ComponentId = 1;
-
-        fn route(ev: &Ev) -> ComponentId {
-            match ev {
-                Ev::IterationEnd(_) => DRIVER,
-                _ => ARRIVALS,
-            }
-        }
-
-        struct ArrivalSource<'w> {
-            engine: Rc<RefCell<ClusterEngine<'w>>>,
-        }
-        impl<'w> EventHandler<Ev> for ArrivalSource<'w> {
-            fn handle(&mut self, ev: Ev, ctx: &mut SimCtx<'_, Ev>) {
-                let mut eng = self.engine.borrow_mut();
-                let now = ctx.now();
-                eng.note_now(now);
-                let mut push = |t: f64, e: Ev| {
-                    let c = route(&e);
-                    ctx.schedule(t, c, e);
-                };
-                match ev {
-                    Ev::Arrival(i) => eng.on_arrival(i, now, &mut push),
-                    Ev::Cancel(i) => eng.on_cancel(i, now, &mut push),
-                    Ev::Fail(i) => eng.on_fail(i, now, &mut push),
-                    Ev::IterationEnd(_) => unreachable!("routed to the job driver"),
-                }
-            }
-        }
-
-        struct JobDriver<'w> {
-            engine: Rc<RefCell<ClusterEngine<'w>>>,
-        }
-        impl<'w> EventHandler<Ev> for JobDriver<'w> {
-            fn handle(&mut self, ev: Ev, ctx: &mut SimCtx<'_, Ev>) {
-                let mut eng = self.engine.borrow_mut();
-                let now = ctx.now();
-                eng.note_now(now);
-                let mut push = |t: f64, e: Ev| {
-                    let c = route(&e);
-                    ctx.schedule(t, c, e);
-                };
-                match ev {
-                    Ev::IterationEnd(id) => eng.on_iteration_end(id, now, &mut push),
-                    other => unreachable!("{other:?} routed to the arrival source"),
-                }
-            }
-        }
-
-        let engine = Rc::new(RefCell::new(ClusterEngine::new(self, workload)));
-        let mut sim: Simulation<'_, Ev> = Simulation::with_tie_break(self.tie_break);
-        let arrivals = sim.add_component(Rc::new(RefCell::new(ArrivalSource {
-            engine: engine.clone(),
-        })));
-        let driver = sim.add_component(Rc::new(RefCell::new(JobDriver {
-            engine: engine.clone(),
-        })));
-        assert_eq!((arrivals, driver), (ARRIVALS, DRIVER));
-        // Seed the initial events in the same program order as the legacy
-        // loop; the FIFO tie-break then reproduces its (time, seq) order.
+        let mut engine = ClusterEngine::new(self, workload);
+        let mut queue = EventQueue::with_tie_break(self.tie_break);
         for (i, j) in workload.iter().enumerate() {
-            sim.schedule(j.arrival, ARRIVALS, Ev::Arrival(i));
+            queue.push(j.arrival, Ev::Arrival(i));
             if let Some(t) = j.cancel_at {
                 assert!(t >= j.arrival, "cannot cancel before arrival");
-                sim.schedule(t, ARRIVALS, Ev::Cancel(i));
+                queue.push(t, Ev::Cancel(i));
             }
             if let Some(t) = j.fail_at {
                 assert!(t >= j.arrival, "cannot fail before arrival");
-                sim.schedule(t, ARRIVALS, Ev::Fail(i));
+                queue.push(t, Ev::Fail(i));
             }
         }
-        sim.run();
-        drop(sim);
-        Rc::try_unwrap(engine)
-            .unwrap_or_else(|_| unreachable!("simulation dropped its handler references"))
-            .into_inner()
-            .finish()
+        while let Some((now, ev)) = queue.pop() {
+            engine.handle(ev, now, &mut queue);
+        }
+        engine.finish()
     }
-
 }
 
-/// The shared transition logic of the cluster simulator: scheduler calls,
+/// Scheduler events retained in the core before the engine moves them
+/// into its own trace: half the core's cap, so no single transition can
+/// push the core's trace past the cap and lose events.
+const TRACE_FLUSH: usize = DEFAULT_EVENT_CAP / 2;
+
+/// The transition logic of the cluster simulator: scheduler calls,
 /// cost-model pricing, telemetry and trace emission, and end-of-run result
-/// assembly. The DES component engine behind [`ClusterSim::run`] executes
-/// exactly this code and emits follow-up events through the `push` sink in
-/// program order, so identical pop orders yield byte-identical results,
-/// floating point included — which is what lets the recorded snapshot
-/// suite pin every field of every run to the bit.
+/// assembly. [`ClusterSim::run`] hands it every popped event; it pushes
+/// follow-up events onto the queue in program order, so identical pop
+/// orders yield byte-identical results, floating point included — which
+/// is what lets the recorded snapshot suite pin every field of every run
+/// to the bit.
 struct ClusterEngine<'w> {
     cfg: &'w ClusterSim,
     workload: &'w [SimJob],
     core: SchedulerCore,
-    sims: std::collections::HashMap<JobId, JobSim>,
+    sims: HashMap<JobId, JobSim>,
     /// Map workload index -> JobId once submitted.
     submitted: Vec<Option<JobId>>,
     makespan: f64,
     bytes_redistributed: u64,
+    /// The complete scheduler trace, moved out of the core as it fills.
+    events: Vec<SchedEvent>,
 }
 
 impl<'w> ClusterEngine<'w> {
@@ -661,12 +577,23 @@ impl<'w> ClusterEngine<'w> {
             submitted: vec![None; workload.len()],
             makespan: 0.0,
             bytes_redistributed: 0,
+            events: Vec::new(),
         }
     }
 
-    /// Every dispatched event advances the observed makespan.
-    fn note_now(&mut self, now: f64) {
+    /// Execute one popped event. Every dispatched event advances the
+    /// observed makespan.
+    fn handle(&mut self, ev: Ev, now: f64, queue: &mut EventQueue<Ev>) {
         self.makespan = self.makespan.max(now);
+        match ev {
+            Ev::Arrival(i) => self.on_arrival(i, now, queue),
+            Ev::Cancel(i) => self.on_cancel(i, now, queue),
+            Ev::Fail(i) => self.on_fail(i, now, queue),
+            Ev::IterationEnd(id) => self.on_iteration_end(id, now, queue),
+        }
+        if self.core.events().len() >= TRACE_FLUSH {
+            self.events.append(&mut self.core.drain_events());
+        }
     }
 
     /// Schedule the first iteration of every newly started job. On a
@@ -676,7 +603,7 @@ impl<'w> ClusterEngine<'w> {
         &mut self,
         starts: Vec<StartAction>,
         now: f64,
-        push: &mut dyn FnMut(f64, Ev),
+        queue: &mut EventQueue<Ev>,
     ) {
         for s in starts {
             let js = self.sims.get_mut(&s.job).expect("started job was submitted");
@@ -697,11 +624,11 @@ impl<'w> ClusterEngine<'w> {
                 );
                 trace::set_head(s.job.0, c);
             }
-            push(now + t_iter, Ev::IterationEnd(s.job));
+            queue.schedule(now, now + t_iter, Ev::IterationEnd(s.job));
         }
     }
 
-    fn on_arrival(&mut self, i: usize, now: f64, push: &mut dyn FnMut(f64, Ev)) {
+    fn on_arrival(&mut self, i: usize, now: f64, queue: &mut EventQueue<Ev>) {
         let j = &self.workload[i];
         let (id, starts) = self.core.submit(j.spec.clone(), now);
         self.submitted[i] = Some(id);
@@ -717,24 +644,24 @@ impl<'w> ClusterEngine<'w> {
                 compute_total: 0.0,
             },
         );
-        self.handle_starts(starts, now, push);
+        self.handle_starts(starts, now, queue);
     }
 
-    fn on_cancel(&mut self, i: usize, now: f64, push: &mut dyn FnMut(f64, Ev)) {
+    fn on_cancel(&mut self, i: usize, now: f64, queue: &mut EventQueue<Ev>) {
         if let Some(id) = self.submitted[i] {
             let starts = self.core.cancel(id, now);
-            self.handle_starts(starts, now, push);
+            self.handle_starts(starts, now, queue);
         }
     }
 
-    fn on_fail(&mut self, i: usize, now: f64, push: &mut dyn FnMut(f64, Ev)) {
+    fn on_fail(&mut self, i: usize, now: f64, queue: &mut EventQueue<Ev>) {
         if let Some(id) = self.submitted[i] {
             let starts = self.core.on_failed(id, "injected failure".into(), now);
-            self.handle_starts(starts, now, push);
+            self.handle_starts(starts, now, queue);
         }
     }
 
-    fn on_iteration_end(&mut self, id: JobId, now: f64, push: &mut dyn FnMut(f64, Ev)) {
+    fn on_iteration_end(&mut self, id: JobId, now: f64, queue: &mut EventQueue<Ev>) {
         let (iter_time, redist, done, iterations) = {
             let js = self.sims.get_mut(&id).expect("job exists");
             js.done += 1;
@@ -742,7 +669,7 @@ impl<'w> ClusterEngine<'w> {
         };
         if done >= iterations {
             let starts = self.core.on_finished(id, now);
-            self.handle_starts(starts, now, push);
+            self.handle_starts(starts, now, queue);
             return;
         }
         // Resize point: report the last iteration + the redistribution paid
@@ -755,13 +682,13 @@ impl<'w> ClusterEngine<'w> {
             _ => {
                 let (d, starts) = self.core.resize_point(id, iter_time, redist, now);
                 debug_assert!(matches!(d, Directive::Terminate | Directive::NoChange));
-                self.handle_starts(starts, now, push);
+                self.handle_starts(starts, now, queue);
                 return;
             }
         };
         let (directive, starts) = self.core.resize_point(id, iter_time, redist, now);
         if directive == Directive::Terminate {
-            self.handle_starts(starts, now, push);
+            self.handle_starts(starts, now, queue);
             return;
         }
         let js = self.sims.get_mut(&id).expect("job exists");
@@ -810,25 +737,17 @@ impl<'w> ClusterEngine<'w> {
                 1.0
             }
         };
-        // Spawn overhead is zero under the default latency model, keeping
-        // the pause (and every timestamp derived from it) bitwise-equal to
-        // the pre-DES engine; a custom model pays it before redistributing.
-        let spawn_cost = if expanded {
-            self.cfg.spawn_cost(pre, next_cfg)
-        } else {
-            0.0
-        };
-        let pause = spawn_cost + redist_cost;
         let t_iter = js.model.iter_time_at(done, next_cfg, &self.cfg.machine) / speed;
         js.last_iter_time = t_iter;
-        js.last_redist = pause;
-        js.redist_total += pause;
+        js.last_redist = redist_cost;
+        js.redist_total += redist_cost;
         js.compute_total += t_iter;
         if reshape_telemetry::trace::enabled() {
             // Resize span chain under the decision the core just emitted
             // (and set as the job's trace head): decision → spawn →
             // redist(+phases) → next compute, all stamped with the
-            // deterministic sim clock.
+            // deterministic sim clock. Spawning is free in the simulator,
+            // so the spawn span has zero length.
             use reshape_telemetry::trace;
             let jid = id.0;
             if expanded {
@@ -839,11 +758,10 @@ impl<'w> ClusterEngine<'w> {
                     "spawn",
                     "sim",
                     now,
-                    now + spawn_cost,
+                    now,
                 );
                 trace::set_head(jid, sp);
             }
-            let redist_start = now + spawn_cost;
             if redist_cost > 0.0 {
                 let r = trace::complete(
                     jid,
@@ -851,14 +769,14 @@ impl<'w> ClusterEngine<'w> {
                     format!("redist {pre}->{next_cfg}"),
                     "redist",
                     "sim",
-                    redist_start,
-                    redist_start + redist_cost,
+                    now,
+                    now + redist_cost,
                 );
                 if let Some(prof) = &profile {
-                    let t1 = redist_start + prof.pack_seconds;
+                    let t1 = now + prof.pack_seconds;
                     let t2 = t1 + prof.transfer_seconds;
-                    let t3 = (t2 + prof.unpack_seconds).min(redist_start + redist_cost);
-                    trace::complete(jid, r, "pack", "redist_pack", "sim", redist_start, t1);
+                    let t3 = (t2 + prof.unpack_seconds).min(now + redist_cost);
+                    trace::complete(jid, r, "pack", "redist_pack", "sim", now, t1);
                     trace::complete(jid, r, "transfer", "redist_transfer", "sim", t1, t2);
                     trace::complete(jid, r, "unpack", "redist_unpack", "sim", t2, t3);
                 }
@@ -870,52 +788,76 @@ impl<'w> ClusterEngine<'w> {
                 format!("iter {done}"),
                 "compute",
                 "sim",
-                now + pause,
-                now + pause + t_iter,
+                now + redist_cost,
+                now + redist_cost + t_iter,
             );
             trace::set_head(jid, c);
         }
-        push(now + pause + t_iter, Ev::IterationEnd(id));
-        self.handle_starts(starts, now, push);
+        queue.schedule(now, now + redist_cost + t_iter, Ev::IterationEnd(id));
+        self.handle_starts(starts, now, queue);
     }
 
-    /// Assemble the [`SimResult`]. Draining keeps the core's bounded trace
-    /// empty for any further use of the scheduler state.
+    /// Assemble the [`SimResult`] from the complete trace: one pass groups
+    /// it by job into allocation histories and resize counts and totals
+    /// the terminal outcomes.
     fn finish(mut self) -> SimResult {
-        let events = self.core.drain_events();
-        let mut jobs = Vec::new();
+        self.events.append(&mut self.core.drain_events());
+        assert_eq!(
+            self.core.dropped_events(),
+            0,
+            "the scheduler trace was flushed before reaching its cap"
+        );
+        let events = self.events;
+        let mut t = SimTelemetry {
+            bytes_redistributed: self.bytes_redistributed,
+            ..Default::default()
+        };
+        let mut per_job: HashMap<JobId, JobTrace> = HashMap::with_capacity(self.sims.len());
+        for e in &events {
+            let jt = per_job.entry(e.job).or_default();
+            let procs = match &e.kind {
+                EventKind::Started { config } => config.procs(),
+                EventKind::Expanded { to, .. } => {
+                    jt.expansions += 1;
+                    t.expansions += 1;
+                    to.procs()
+                }
+                EventKind::Shrunk { to, .. } => {
+                    jt.shrinks += 1;
+                    t.shrinks += 1;
+                    to.procs()
+                }
+                EventKind::NodeFailed { to, .. } => to.procs(),
+                EventKind::ExpandFailed { from, .. } => from.procs(),
+                EventKind::Finished => {
+                    t.jobs_finished += 1;
+                    0
+                }
+                EventKind::Failed { .. } => {
+                    t.jobs_failed += 1;
+                    0
+                }
+                EventKind::Cancelled => {
+                    t.jobs_cancelled += 1;
+                    0
+                }
+                EventKind::Submitted => continue,
+            };
+            jt.alloc.push((e.time, procs));
+        }
+        let mut jobs = Vec::with_capacity(self.workload.len());
         for (i, j) in self.workload.iter().enumerate() {
             let id = self.submitted[i].expect("all workload jobs were submitted");
             let rec = self.core.job(id).expect("job exists");
             let js = &self.sims[&id];
             let started = rec.started_at.unwrap_or(f64::NAN);
             let finished = rec.finished_at.unwrap_or(f64::NAN);
-            let mut alloc: Vec<(f64, usize)> = Vec::new();
-            for e in &events {
-                if e.job != id {
-                    continue;
-                }
-                match &e.kind {
-                    EventKind::Started { config } => alloc.push((e.time, config.procs())),
-                    EventKind::Expanded { to, .. }
-                    | EventKind::Shrunk { to, .. }
-                    | EventKind::NodeFailed { to, .. } => alloc.push((e.time, to.procs())),
-                    EventKind::ExpandFailed { from, .. } => alloc.push((e.time, from.procs())),
-                    EventKind::Finished | EventKind::Failed { .. } | EventKind::Cancelled => {
-                        alloc.push((e.time, 0))
-                    }
-                    EventKind::Submitted => {}
-                }
-            }
+            let JobTrace {
+                alloc,
+                expansions,
+                shrinks,
+            } = per_job.remove(&id).unwrap_or_default();
             if reshape_telemetry::enabled() {
-                let expansions = events
-                    .iter()
-                    .filter(|e| e.job == id && matches!(e.kind, EventKind::Expanded { .. }))
-                    .count();
-                let shrinks = events
-                    .iter()
-                    .filter(|e| e.job == id && matches!(e.kind, EventKind::Shrunk { .. }))
-                    .count();
                 let final_procs = alloc
                     .iter()
                     .rev()
@@ -956,45 +898,28 @@ impl<'w> ClusterEngine<'w> {
             });
         }
         let utilization = self.core.utilization(self.makespan);
-        let telemetry = {
-            let mut t = SimTelemetry {
-                utilization,
-                bytes_redistributed: self.bytes_redistributed,
-                ..Default::default()
-            };
-            for e in &events {
-                match e.kind {
-                    EventKind::Finished => t.jobs_finished += 1,
-                    EventKind::Failed { .. } => t.jobs_failed += 1,
-                    EventKind::Cancelled => t.jobs_cancelled += 1,
-                    EventKind::Expanded { .. } => t.expansions += 1,
-                    EventKind::Shrunk { .. } => t.shrinks += 1,
-                    _ => {}
-                }
-            }
-            let mut turnarounds: Vec<f64> = jobs
-                .iter()
-                .filter(|j| j.turnaround.is_finite())
-                .map(|j| j.turnaround)
-                .collect();
-            turnarounds.sort_by(|a, b| a.partial_cmp(b).expect("finite turnarounds"));
-            if !turnarounds.is_empty() {
-                let n = turnarounds.len();
-                t.mean_turnaround = turnarounds.iter().sum::<f64>() / n as f64;
-                t.p95_turnaround = turnarounds[((n as f64 * 0.95).ceil() as usize).max(1) - 1];
-                t.max_turnaround = turnarounds[n - 1];
-            }
-            t.compute_seconds_total = jobs.iter().map(|j| j.compute_total).sum();
-            t.redist_seconds_total = jobs.iter().map(|j| j.redist_total).sum();
-            t
-        };
+        t.utilization = utilization;
+        let mut turnarounds: Vec<f64> = jobs
+            .iter()
+            .filter(|j| j.turnaround.is_finite())
+            .map(|j| j.turnaround)
+            .collect();
+        turnarounds.sort_by(|a, b| a.partial_cmp(b).expect("finite turnarounds"));
+        if !turnarounds.is_empty() {
+            let n = turnarounds.len();
+            t.mean_turnaround = turnarounds.iter().sum::<f64>() / n as f64;
+            t.p95_turnaround = turnarounds[((n as f64 * 0.95).ceil() as usize).max(1) - 1];
+            t.max_turnaround = turnarounds[n - 1];
+        }
+        t.compute_seconds_total = jobs.iter().map(|j| j.compute_total).sum();
+        t.redist_seconds_total = jobs.iter().map(|j| j.redist_total).sum();
         SimResult {
             jobs,
             events,
             makespan: self.makespan,
             utilization,
             total_procs: self.cfg.total_procs,
-            telemetry,
+            telemetry: t,
         }
     }
 }
@@ -1088,6 +1013,32 @@ mod tests {
         let json = serde_json::to_string(&result).unwrap();
         let back: SimResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back.telemetry, result.telemetry);
+    }
+
+    /// A stream long enough to pass the scheduler's trace cap must still
+    /// account for every job: the engine moves the trace out of the core
+    /// before it fills, so no event is dropped.
+    #[test]
+    fn results_stay_complete_past_the_trace_cap() {
+        let jobs = 10_000;
+        let w = crate::workloads::random_workload(1, jobs, 36);
+        let result = ClusterSim::new(36, MachineParams::system_x()).run(&w.jobs);
+        assert!(
+            result.events.len() > DEFAULT_EVENT_CAP,
+            "the stream must pass the cap: {} events",
+            result.events.len()
+        );
+        let t = &result.telemetry;
+        assert_eq!(t.jobs_finished + t.jobs_failed + t.jobs_cancelled, jobs);
+        for j in &result.jobs {
+            assert_eq!(
+                j.alloc_history.first().map(|&(t, _)| t),
+                Some(j.started),
+                "{}: history must open with the start",
+                j.name
+            );
+            assert_eq!(j.alloc_history.last().map(|&(_, p)| p), Some(0), "{}", j.name);
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod wal;
 
 pub use crate::core::{
     BorrowedLease, CoreSnapshot, Directive, EventKind, EvictOutcome, JobRecord, QueuePolicy,
-    Reservation, ReservationId, SchedEvent, SchedulerCore, StartAction,
+    Reservation, ReservationId, SchedEvent, SchedulerCore, StartAction, DEFAULT_EVENT_CAP,
 };
 pub use backoff::Backoff;
 pub use wal::{HealAction, Wal, WalError, WalRecord, WalSalvage};

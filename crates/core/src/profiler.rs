@@ -3,7 +3,7 @@
 //! measured redistribution costs between configurations, and the possible
 //! shrink points with their expected performance degradation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -47,12 +47,14 @@ pub struct ShrinkPoint {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobProfile {
     history: Vec<PerfRecord>,
-    /// Aggregated (sum, count) iteration time per configuration.
-    stats: HashMap<ProcessorConfig, (f64, usize)>,
+    /// Aggregated (sum, count) iteration time per configuration. Ordered
+    /// maps keep the profile's `Debug` form (and so a `CoreSnapshot`'s)
+    /// stable across processes.
+    stats: BTreeMap<ProcessorConfig, (f64, usize)>,
     /// Configurations in first-visit order.
     visited: Vec<ProcessorConfig>,
     /// Measured redistribution seconds between configuration pairs.
-    redist_costs: HashMap<(ProcessorConfig, ProcessorConfig), f64>,
+    redist_costs: BTreeMap<(ProcessorConfig, ProcessorConfig), f64>,
     last_resize: Option<Resize>,
     /// Set when the job's most recent expansion attempt could not be
     /// actuated (spawn failure) and the job reverted to `from`. Cleared by
