@@ -190,6 +190,10 @@ pub struct CoreSnapshot {
 pub struct SchedulerCore {
     pool: ResourcePool,
     policy: QueuePolicy,
+    /// Jobs waiting to start, head first. Invariant: priority never
+    /// increases from head to tail, and jobs of equal priority keep
+    /// submission order (ascending `JobId`). `submit_inner` is the only
+    /// insert and binary-searches its position; everything else removes.
     queue: VecDeque<JobId>,
     jobs: HashMap<JobId, JobRecord>,
     profiler: Profiler,
@@ -745,11 +749,10 @@ impl SchedulerCore {
         if let Some(r) = reservation {
             self.bindings.insert(id, r);
         }
+        // Behind every job of equal or higher priority (see `queue`).
         let pos = self
             .queue
-            .iter()
-            .position(|j| self.jobs[j].spec.priority < priority)
-            .unwrap_or(self.queue.len());
+            .partition_point(|j| self.jobs[j].spec.priority >= priority);
         self.queue.insert(pos, id);
         self.push_event(SchedEvent {
             time: now,
@@ -790,6 +793,9 @@ impl SchedulerCore {
     fn schedule_now(&mut self, now: f64) -> Vec<StartAction> {
         self.tick(now);
         let mut actions = Vec::new();
+        // One pass, resumed after each start: a start only lowers idle
+        // capacity and reservations are fixed within the pass, so no job
+        // skipped before `i` can fit later in it.
         let mut i = 0;
         while i < self.queue.len() {
             let id = self.queue[i];
@@ -811,9 +817,6 @@ impl SchedulerCore {
                     reshape_telemetry::trace::end(qw, now);
                 }
                 actions.push(StartAction { job: id, config, slots });
-                // Restart from the head: starting a job may unblock nothing,
-                // but keeping strict order costs little.
-                i = 0;
             } else {
                 match self.policy {
                     QueuePolicy::Fcfs => break,
@@ -1047,6 +1050,14 @@ impl SchedulerCore {
         }
     }
 
+    /// Take a queued job out of the queue. Linear, so callers only use it
+    /// for jobs that were `Queued`: running jobs are never in the queue.
+    fn dequeue(&mut self, job: JobId) {
+        if let Some(pos) = self.queue.iter().position(|&j| j == job) {
+            self.queue.remove(pos);
+        }
+    }
+
     /// A job finished; reclaim its processors and start queued work.
     pub fn on_finished(&mut self, job: JobId, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
@@ -1056,11 +1067,14 @@ impl SchedulerCore {
             if !rec.state.is_active() {
                 return Vec::new();
             }
+            let was_queued = matches!(rec.state, JobState::Queued);
             let slots = std::mem::take(&mut rec.slots);
             rec.state = JobState::Finished { at: now };
             rec.finished_at = Some(now);
             self.pool.release(&slots);
-            self.queue.retain(|&j| j != job);
+            if was_queued {
+                self.dequeue(job);
+            }
             self.push_event(SchedEvent {
                 time: now,
                 job,
@@ -1091,6 +1105,7 @@ impl SchedulerCore {
         }
         self.tick(now);
         if let Some(rec) = self.jobs.get_mut(&job) {
+            let was_queued = matches!(rec.state, JobState::Queued);
             let slots = std::mem::take(&mut rec.slots);
             rec.state = JobState::Failed {
                 at: now,
@@ -1100,7 +1115,9 @@ impl SchedulerCore {
             if !self.chaos_leak_on_failure {
                 self.pool.release(&slots);
             }
-            self.queue.retain(|&j| j != job);
+            if was_queued {
+                self.dequeue(job);
+            }
             self.push_event(SchedEvent {
                 time: now,
                 job,
@@ -1269,7 +1286,7 @@ impl SchedulerCore {
             JobState::Queued => {
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
-                self.queue.retain(|&j| j != job);
+                self.dequeue(job);
                 self.push_event(SchedEvent {
                     time: now,
                     job,

@@ -1,6 +1,7 @@
 //! Property tests: under arbitrary event sequences, the scheduler never
 //! loses or double-books a processor, and job states stay consistent.
 
+use std::cmp::Reverse;
 use std::collections::HashSet;
 
 use proptest::prelude::*;
@@ -60,6 +61,19 @@ fn check_invariants(core: &SchedulerCore) {
         }
     }
     assert_eq!(busy, core.busy_procs(), "busy count matches slot ownership");
+
+    // Queue-order oracle: the queue holds exactly the queued jobs, by
+    // descending priority and then submission order (ascending id).
+    let snap = core.snapshot();
+    let mut queued: Vec<(Reverse<u8>, JobId)> = snap
+        .jobs
+        .iter()
+        .filter(|(_, r)| matches!(r.state, JobState::Queued))
+        .map(|(id, r)| (Reverse(r.spec.priority), *id))
+        .collect();
+    queued.sort();
+    let want: Vec<JobId> = queued.into_iter().map(|(_, id)| id).collect();
+    assert_eq!(snap.queue, want, "queue must be the queued jobs in priority order");
 }
 
 fn live_jobs(core: &SchedulerCore) -> Vec<JobId> {

@@ -4,9 +4,11 @@
 //! tens of thousands of jobs through `run_scale` in one process. Virtual
 //! results (makespan, utilization, event count) are bit-deterministic for
 //! a fixed seed, so the gate holds them to the 2%/0.1% drift bands; the
-//! wall metrics are what the 10k-node CI smoke budget rests on.
+//! wall metrics are what the 10k-node CI smoke budget rests on. The
+//! `scale_contended_*` rows rerun the sweep above capacity so the
+//! scheduler queue fills and its handling is what they measure.
 
-use reshape_clustersim::{run_scale, EventQueue, ScaleConfig};
+use reshape_clustersim::{run_scale, EventQueue, ScaleConfig, ScaleReport};
 
 use crate::report::MetricKind;
 use crate::runner::Recorder;
@@ -42,18 +44,8 @@ pub fn run(rec: &mut Recorder, opts: SuiteOpts) {
     }
     .with_seed(opts.seed);
 
-    let mut walls = Vec::new();
-    let mut reports = Vec::new();
-    rec.value("scale_makespan_virtual_s", "s", MetricKind::Virtual, || {
-        let report = run_scale(&cfg);
-        walls.push(report.wall_seconds);
-        let makespan = report.makespan;
-        reports.push(report);
-        makespan
-    });
-    let report = reports.pop().expect("at least one sample ran");
-
-    rec.single("scale_wall_s", "s", MetricKind::Wall, crate::stats::median(&walls));
+    let (report, wall) = sweep(rec, "scale_makespan_virtual_s", &cfg);
+    rec.single("scale_wall_s", "s", MetricKind::Wall, wall);
     rec.single(
         "scale_events",
         "ops",
@@ -64,7 +56,7 @@ pub fn run(rec: &mut Recorder, opts: SuiteOpts) {
         "scale_events_per_sec",
         "ops/s",
         MetricKind::Wall,
-        report.events_processed as f64 / crate::stats::median(&walls).max(1e-9),
+        report.events_processed as f64 / wall.max(1e-9),
     );
     rec.higher_is_better("scale_events_per_sec");
     rec.single(
@@ -86,4 +78,47 @@ pub fn run(rec: &mut Recorder, opts: SuiteOpts) {
         MetricKind::Count,
         (report.expansions + report.shrinks) as f64,
     );
+
+    // The same sweep offered 1.5x the cluster's capacity, half the jobs
+    // resizable: the queue fills thousands deep and the shrink-for-queued
+    // rule fires, so these rows price `SchedulerCore` queue handling.
+    let mut cfg = if opts.quick {
+        ScaleConfig::new(500, 5_000)
+    } else {
+        ScaleConfig::new(2_000, 50_000)
+    }
+    .with_seed(opts.seed);
+    cfg.target_utilization = 1.5;
+    cfg.resizable_percent = 50;
+
+    let (report, wall) = sweep(rec, "scale_contended_makespan_virtual_s", &cfg);
+    rec.single(
+        "scale_contended_peak_queue_depth",
+        "jobs",
+        MetricKind::Count,
+        report.peak_queue_depth as f64,
+    );
+    rec.single(
+        "scale_contended_events_per_sec",
+        "ops/s",
+        MetricKind::Wall,
+        report.events_processed as f64 / wall.max(1e-9),
+    );
+    rec.higher_is_better("scale_contended_events_per_sec");
+}
+
+/// Record `cfg`'s virtual makespan under `name`, one `run_scale` per
+/// sample; returns the last sample's report and the median wall time.
+fn sweep(rec: &mut Recorder, name: &str, cfg: &ScaleConfig) -> (ScaleReport, f64) {
+    let mut walls = Vec::new();
+    let mut reports = Vec::new();
+    rec.value(name, "s", MetricKind::Virtual, || {
+        let report = run_scale(cfg);
+        walls.push(report.wall_seconds);
+        let makespan = report.makespan;
+        reports.push(report);
+        makespan
+    });
+    let report = reports.pop().expect("at least one sample ran");
+    (report, crate::stats::median(&walls))
 }
