@@ -11,7 +11,9 @@
 //! baselines are committed). `compare` re-runs the suites, diffs against
 //! the committed baselines with per-metric noise thresholds, prints the
 //! regression table, and exits 1 when a significant slowdown survives the
-//! MAD overlap check — the CI soft gate.
+//! MAD overlap check — the CI soft gate. A baseline recorded under the
+//! other profile (quick vs full) is refused with exit 1 before any suite
+//! runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -120,19 +122,32 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let mut combined = CompareReport::default();
+            let mut baselines = Vec::new();
             for area in areas {
                 let base_path = base_dir.join(BenchReport::file_name(area));
-                let baseline = match BenchReport::load(&base_path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        combined
-                            .notes
-                            .push(format!("area {area}: no usable baseline ({e}) — skipped"));
-                        continue;
-                    }
-                };
-                eprintln!("perfbase: comparing area `{area}` ({})", profile_name(opts.quick));
-                let current = run_area(area, opts);
+                match BenchReport::load(&base_path) {
+                    Ok(b) => baselines.push(b),
+                    Err(e) => combined
+                        .notes
+                        .push(format!("area {area}: no usable baseline ({e}) — skipped")),
+                }
+            }
+            // Quick and full profiles run different input sizes; refuse
+            // before running anything rather than print false verdicts.
+            let profile = profile_name(opts.quick);
+            if let Some(b) = baselines.iter().find(|b| b.env.profile != profile) {
+                eprintln!(
+                    "perfbase: profile mismatch — baseline {} was recorded with profile `{}`, \
+                     this run uses `{profile}`; rerun with the matching profile \
+                     (--quick for quick baselines)",
+                    BenchReport::file_name(&b.area),
+                    b.env.profile
+                );
+                return ExitCode::FAILURE;
+            }
+            for baseline in baselines {
+                eprintln!("perfbase: comparing area `{}` ({profile})", baseline.area);
+                let current = run_area(&baseline.area, opts);
                 combined.extend(compare(&baseline, &current));
             }
             print!("{}", render_table(&combined));

@@ -14,8 +14,8 @@
 //!
 //! Each binary prints the paper-comparable rows/series to stdout and, when
 //! `--json <path>` is given, writes the raw data as JSON for plotting.
-//! Criterion microbenchmarks of the runtime library itself live under
-//! `benches/`.
+//! Per-layer benchmarks of the runtime library itself are perfbase areas,
+//! recorded and gated by the `perfbase` binary.
 
 use std::io::Write as _;
 

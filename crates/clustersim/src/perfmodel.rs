@@ -261,23 +261,10 @@ impl AppModel {
 
     /// Redistribution cost between two configurations, from the *actual*
     /// contention-free schedules priced under the network model. Expansion
-    /// additionally pays the process-spawn overhead.
+    /// additionally pays the process-spawn overhead. This is the total of
+    /// [`AppModel::redist_profile`].
     pub fn redist_cost(&self, from: ProcessorConfig, to: ProcessorConfig, m: &MachineParams) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        let net = m.redist_net();
-        let mut total = 0.0;
-        for (rows, cols, mb, nb) in self.data_shapes() {
-            let src = Descriptor::new(rows, cols, mb, nb, from.rows, from.cols);
-            let dst = Descriptor::new(rows, cols, mb, nb, to.rows, to.cols);
-            let plan = plan_2d(src, dst);
-            total += evaluate_2d(&plan, 8, &net).seconds;
-        }
-        if to.procs() > from.procs() {
-            total += net.spawn_overhead;
-        }
-        total
+        self.redist_profile(from, to, m).total_seconds
     }
 
     /// Phase-decomposed redistribution profile between two configurations:
@@ -473,8 +460,9 @@ mod tests {
             "phases {phase_sum} != total {}",
             prof.total_seconds
         );
-        assert!(
-            (prof.total_seconds - lu.redist_cost(from, to, &m)).abs() < 1e-12,
+        assert_eq!(
+            prof.total_seconds.to_bits(),
+            lu.redist_cost(from, to, &m).to_bits(),
             "profile total must match redist_cost"
         );
         // Identity resize is free.

@@ -287,7 +287,7 @@ impl SchedulerCore {
 
     /// Cap the scheduling trace at `cap` events (default
     /// [`DEFAULT_EVENT_CAP`]); the oldest events are dropped beyond it and
-    /// counted in [`SchedulerCore::events_dropped`]. Consumers that need
+    /// counted in [`SchedulerCore::dropped_events`]. Consumers that need
     /// the full trace should call [`SchedulerCore::drain_events`]
     /// periodically instead of raising the cap.
     pub fn with_event_cap(mut self, cap: usize) -> Self {
@@ -1690,11 +1690,6 @@ impl SchedulerCore {
         dead.len()
     }
 
-    /// Alias of [`SchedulerCore::dropped_events`] (original name).
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
-    }
-
     /// Mean utilization over `[0, now]`: the fraction of available
     /// cpu-seconds assigned to running jobs (the paper's footnote 1).
     ///
@@ -2234,7 +2229,7 @@ mod tests {
         }
         // 6 jobs x (Submitted, Started, Finished) = 18 events against cap 4.
         assert!(core.events().len() <= 4, "cap not enforced: {}", core.events().len());
-        assert!(core.events_dropped() >= 14, "drops uncounted: {}", core.events_dropped());
+        assert!(core.dropped_events() >= 14, "drops uncounted: {}", core.dropped_events());
         let drained = core.drain_events();
         assert!(!drained.is_empty());
         assert!(core.events().is_empty());

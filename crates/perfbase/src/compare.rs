@@ -93,11 +93,14 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport) -> CompareReport {
         ));
     }
     if baseline.env.profile != current.env.profile {
+        // Quick and full runs use different input sizes, so every delta
+        // would be a false verdict: report the mismatch and nothing else.
         out.notes.push(format!(
             "area {}: baseline profile `{}` vs current `{}` — medians are not comparable; \
              re-record the baseline with the matching profile",
             baseline.area, baseline.env.profile, current.env.profile
         ));
+        return out;
     }
     for (name, base) in &baseline.metrics {
         let Some(cur) = current.metrics.get(name) else {
@@ -323,7 +326,10 @@ mod tests {
         let base = report_with("a", &[("m", MetricKind::Wall, &[1.0])]);
         let mut cur = base.clone();
         cur.env.profile = "full".into();
+        cur.metrics.get_mut("m").unwrap().summary.median = 10.0;
         let c = compare(&base, &cur);
         assert!(c.notes.iter().any(|n| n.contains("profile")), "{:?}", c.notes);
+        assert!(c.deltas.is_empty(), "{:?}", c.deltas);
+        assert!(!c.has_regressions());
     }
 }

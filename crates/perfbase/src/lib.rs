@@ -4,8 +4,9 @@
 //! itself against a recorded baseline. This crate is that proof machinery:
 //!
 //! * [`suites`] — deterministic, seeded benchmark suites covering the
-//!   stack's hot paths: block-cyclic index math, schedule planning,
-//!   pack/unpack, WAL append/recover (micro), and redistribution
+//!   stack's hot paths: block-cyclic index math, schedule planning and
+//!   pricing, pack/unpack, mpisim messaging and spawn/split, the
+//!   `SchedulerCore` decision, WAL append/recover (micro), and redistribution
 //!   end-to-end on mpisim, spawn latency, cluster-simulator sweeps, and
 //!   the node-loss recovery round trip (macro);
 //! * [`stats`] — warmup + median/MAD summaries with outlier rejection, so
@@ -25,8 +26,8 @@
 //! The driver lives in `reshape-bench` as `bin/perfbase`:
 //!
 //! ```text
-//! cargo run --release -p reshape-bench --bin perfbase -- run         # record BENCH_*.json
-//! cargo run --release -p reshape-bench --bin perfbase -- compare     # gate against baselines
+//! cargo run --release -p reshape-bench --bin perfbase -- run --quick       # record BENCH_*.json
+//! cargo run --release -p reshape-bench --bin perfbase -- compare --quick   # gate against baselines
 //! ```
 //!
 //! Virtual-time metrics (the simulators are deterministic) are held to a

@@ -2,7 +2,9 @@
 //! producing one `BENCH_<area>.json` report.
 //!
 //! Micro areas measure library hot paths under wall clock (block-cyclic
-//! index math, schedule planning, pack/unpack, WAL append/recover); macro
+//! index math, schedule planning and pricing, pack/unpack, WAL
+//! append/recover, mpisim messaging and communicator management, the
+//! `SchedulerCore` decision); macro
 //! areas run end-to-end scenarios whose headline numbers are *virtual*
 //! seconds on the deterministic simulators (redistribution on mpisim, spawn
 //! latency, cluster-simulator sweeps, recovery round trip) — those repeat
@@ -13,8 +15,10 @@ mod clustersim;
 mod des;
 mod federation;
 mod fedtrace;
+mod mpisim;
 mod partition;
 mod redist;
+mod scheduler;
 mod spawn;
 mod wal;
 
@@ -46,9 +50,11 @@ impl Default for SuiteOpts {
 }
 
 /// Every area, in run order.
-pub const AREAS: [&str; 9] = [
+pub const AREAS: [&str; 11] = [
     "blockcyclic",
     "redist",
+    "mpisim",
+    "core",
     "wal",
     "spawn",
     "clustersim",
@@ -69,6 +75,8 @@ pub fn run_area(area: &str, opts: SuiteOpts) -> BenchReport {
     match area {
         "blockcyclic" => blockcyclic::run(&mut rec, opts),
         "redist" => redist::run(&mut rec, opts),
+        "mpisim" => mpisim::run(&mut rec, opts),
+        "core" => scheduler::run(&mut rec, opts),
         "wal" => wal::run(&mut rec, opts),
         "spawn" => spawn::run(&mut rec, opts),
         "clustersim" => clustersim::run(&mut rec, opts),
@@ -85,11 +93,14 @@ pub fn run_area(area: &str, opts: SuiteOpts) -> BenchReport {
 mod tests {
     use super::*;
 
-    /// The whole quick suite runs and every area yields metrics. One test,
-    /// smallest sizes — this is the smoke that keeps the suites compiling
-    /// against the crates they measure.
+    /// The whole quick suite runs, every area yields metrics, and each
+    /// area's rows are exactly the rows of its committed `BENCH_<area>.json`
+    /// baseline — a row a suite adds or renames would otherwise never be
+    /// compared. One test, smallest sizes — this is the smoke that keeps the
+    /// suites compiling against the crates they measure.
     #[test]
     fn quick_suites_produce_metrics() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let opts = SuiteOpts {
             quick: true,
             seed: 7,
@@ -110,6 +121,14 @@ mod tests {
                     m.summary
                 );
             }
+            let baseline = BenchReport::load(&root.join(BenchReport::file_name(area)))
+                .unwrap_or_else(|e| panic!("area {area}: no committed baseline: {e}"));
+            assert!(
+                report.metrics.keys().eq(baseline.metrics.keys()),
+                "area {area}: suite rows {:?} != baseline rows {:?}",
+                report.metrics.keys().collect::<Vec<_>>(),
+                baseline.metrics.keys().collect::<Vec<_>>()
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Area `redist`: the redistribution data plane, micro to macro.
 //!
-//! * planning (`plan_1d` / `plan_2d`) — wall clock, pure computation;
+//! * planning (`plan_1d` / `plan_2d` / `plan_general_1d`) and analytic
+//!   pricing (`evaluate_2d`) — wall clock, pure computation;
 //! * pack/unpack — the per-block copy loops (`get_block`/`set_block`)
 //!   every executor runs, wall clock;
 //! * end-to-end `redistribute_2d` over mpisim — *virtual* seconds on the
@@ -13,7 +14,8 @@ use std::sync::{Arc, Mutex};
 use reshape_blockcyclic::{recover_matrix, BuddyStore, Descriptor, DistMatrix};
 use reshape_mpisim::{NetModel, Universe};
 use reshape_redist::{
-    checkpoint_redistribute, plan_1d, plan_2d, redistribute_2d, CheckpointParams,
+    checkpoint_redistribute, evaluate_2d, plan_1d, plan_2d, plan_general_1d, redistribute_2d,
+    CheckpointParams,
 };
 
 use crate::report::MetricKind;
@@ -44,6 +46,27 @@ fn planning(rec: &mut Recorder, opts: SuiteOpts) {
     let plan = plan_2d(src, dst);
     let total: usize = plan.steps.iter().map(Vec::len).sum();
     rec.single("plan2d_transfers", "ops", MetricKind::Count, total as f64);
+
+    // Pricing one 16 → 25 expansion of a 24000² matrix, the call the
+    // cluster simulator's performance model makes per resize.
+    let plan = plan_2d(
+        Descriptor::square(24000, 100, 4, 4),
+        Descriptor::square(24000, 100, 5, 5),
+    );
+    let net = NetModel::gigabit_ethernet();
+    rec.wall("evaluate2d_24000_16to25_seconds", || {
+        std::hint::black_box(evaluate_2d(&plan, 8, &net));
+    });
+
+    // A block-size-changing plan, which needs the Konig edge colouring.
+    let (n, b1, p, b2, q) = if opts.quick {
+        (100_000, 100, 8, 250, 12)
+    } else {
+        (1_000_000, 1000, 16, 750, 20)
+    };
+    rec.wall("plan_general_1d_seconds", || {
+        std::hint::black_box(plan_general_1d(n, b1, p, b2, q));
+    });
 }
 
 fn pack_unpack(rec: &mut Recorder, opts: SuiteOpts) {

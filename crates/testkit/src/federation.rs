@@ -494,7 +494,18 @@ pub struct FedChaosReport {
 /// the seed; with `TESTKIT_FAULT_DIR` set, the fault schedule and every
 /// shard's WAL are also dumped to disk.
 pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
-    let cfg = generate_federation(seed);
+    run_chaos(seed, generate_federation(seed), "fed")
+}
+
+/// The chaos drill behind both the federation and the partition sweeps:
+/// drive `cfg` with the ledger oracle after every event, then apply the
+/// end-of-run acceptance. Failing runs dump their artifacts under
+/// `$TESTKIT_FAULT_DIR/<prefix>-seed-<seed>*`.
+pub(crate) fn run_chaos(
+    seed: u64,
+    cfg: FedSimConfig,
+    prefix: &str,
+) -> Result<FedChaosReport, String> {
     let schedule = format!("{cfg:#?}");
 
     let mut first_err: Option<String> = None;
@@ -520,47 +531,50 @@ pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
     });
     let flightrec = fed.flightrec().dump_jsonl();
 
-    if let Some(e) = first_err {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: ledger violation: {e}"));
+    let fail = |msg: String| {
+        dump_artifacts(prefix, seed, &schedule, &wal_dump, &flightrec);
+        Err(format!("seed {seed}: {msg}"))
+    };
+    if let Some(e) = &first_err {
+        return fail(format!("ledger violation: {e}"));
     }
     // End-of-run acceptance: full terminal accounting, every recovery
-    // replayed to snapshot equality, every lease round-tripped home.
+    // replayed to snapshot equality, every lease round-tripped home, every
+    // partition healed (0 == 0 on partition-free scenarios).
     if !report.recoveries_matched {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: a WAL replay diverged from its crash snapshot"
-        ));
+        return fail("a WAL replay diverged from its crash snapshot".into());
     }
     let terminal =
         report.finished + report.failed + report.cancelled + report.evict_failed + report.shed;
     if terminal != report.submitted {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: accounting leak: {terminal} terminal of {} submitted ({report:?})",
+        return fail(format!(
+            "accounting leak: {terminal} terminal of {} submitted ({report:?})",
             report.submitted
         ));
     }
     if report.leases_granted != report.leases_reclaimed {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: {} leases granted but {} reclaimed",
+        return fail(format!(
+            "{} leases granted but {} reclaimed",
             report.leases_granted, report.leases_reclaimed
+        ));
+    }
+    if report.partitions_started != report.partitions_healed {
+        return fail(format!(
+            "{} partitions started but {} healed",
+            report.partitions_started, report.partitions_healed
         ));
     }
     let per_kind = report.heal_repairs_recovery_fixup
         + report.heal_repairs_evict_stale_borrow
         + report.heal_repairs_return_escrow;
     if per_kind != report.heal_repairs {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: heal-repair kinds sum to {per_kind} but {} repairs were journaled",
+        return fail(format!(
+            "heal-repair kinds sum to {per_kind} but {} repairs were journaled",
             report.heal_repairs
         ));
     }
     if !quiesced {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: federation did not quiesce"));
+        return fail("federation did not quiesce".into());
     }
     Ok(FedChaosReport {
         report,
@@ -569,21 +583,25 @@ pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
     })
 }
 
-/// When `TESTKIT_FAULT_DIR` is set, persist the failing run's fault
-/// schedule, WAL streams, and flight-recorder dump for offline replay.
-fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec: &str) {
+/// When `TESTKIT_FAULT_DIR` is set, persist the failing run's fault (and
+/// partition) schedule, WAL streams, and flight-recorder dump for offline
+/// replay.
+fn dump_artifacts(
+    prefix: &str,
+    seed: u64,
+    schedule: &str,
+    wals: &[(usize, String)],
+    flightrec: &str,
+) {
     let Ok(dir) = std::env::var("TESTKIT_FAULT_DIR") else {
         return;
     };
     let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(
-        format!("{dir}/fed-seed-{seed}.schedule.txt"),
-        schedule,
-    );
+    let _ = std::fs::write(format!("{dir}/{prefix}-seed-{seed}.schedule.txt"), schedule);
     for (shard, text) in wals {
-        let _ = std::fs::write(format!("{dir}/fed-seed-{seed}-shard-{shard}.wal"), text);
+        let _ = std::fs::write(format!("{dir}/{prefix}-seed-{seed}-shard-{shard}.wal"), text);
     }
-    let _ = std::fs::write(format!("{dir}/fed-seed-{seed}.flightrec.jsonl"), flightrec);
+    let _ = std::fs::write(format!("{dir}/{prefix}-seed-{seed}.flightrec.jsonl"), flightrec);
 }
 
 // ----------------------------------------------------------------------

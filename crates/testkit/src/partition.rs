@@ -20,10 +20,10 @@
 //! [`crate::federation::generate_federation`] stay bitwise identical.
 
 use reshape_core::{Backoff, JobSpec, ProcessorConfig, TopologyPref};
-use reshape_federation::sim::{run_with_fed, FedSimConfig, PartitionPlan};
+use reshape_federation::sim::{FedSimConfig, PartitionPlan};
 use reshape_federation::{Federation, FederationConfig, TenantConfig};
 
-use crate::federation::{check_ledger, generate_federation, FedChaosReport};
+use crate::federation::{check_ledger, generate_federation, run_chaos, FedChaosReport};
 use crate::rng::SplitMix64;
 
 /// Generate a seeded federation scenario with partitions: the base
@@ -84,105 +84,7 @@ pub fn generate_partition(seed: u64) -> FedSimConfig {
 /// to its crash snapshot, every lease resolved, full quiescence after the
 /// last heal.
 pub fn run_partition_chaos(seed: u64) -> Result<FedChaosReport, String> {
-    let cfg = generate_partition(seed);
-    let schedule = format!("{cfg:#?}");
-
-    let mut first_err: Option<String> = None;
-    let mut wal_dump: Vec<(usize, String)> = Vec::new();
-    let mut checks = 0u64;
-    let mut quiesced = false;
-    let (report, fed) = run_with_fed(cfg, |fed, t| {
-        checks += 1;
-        quiesced = fed.quiesced();
-        if first_err.is_some() {
-            return;
-        }
-        if let Err(e) = check_ledger(fed) {
-            first_err = Some(format!("t={t:.3} {e}"));
-            for sh in fed.shards() {
-                let text = match sh.core().and_then(|c| c.wal()) {
-                    Some(w) => w.encode(),
-                    None => sh.down_wal().unwrap_or_default().to_string(),
-                };
-                wal_dump.push((sh.id(), text));
-            }
-        }
-    });
-    let flightrec = fed.flightrec().dump_jsonl();
-
-    if let Some(e) = first_err {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: ledger violation: {e}"));
-    }
-    if !report.recoveries_matched {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: a WAL replay diverged from its crash snapshot"
-        ));
-    }
-    let terminal =
-        report.finished + report.failed + report.cancelled + report.evict_failed + report.shed;
-    if terminal != report.submitted {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: accounting leak: {terminal} terminal of {} submitted ({report:?})",
-            report.submitted
-        ));
-    }
-    if report.leases_granted != report.leases_reclaimed {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: {} leases granted but {} reclaimed",
-            report.leases_granted, report.leases_reclaimed
-        ));
-    }
-    if report.partitions_started != report.partitions_healed {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: {} partitions started but {} healed",
-            report.partitions_started, report.partitions_healed
-        ));
-    }
-    let per_kind = report.heal_repairs_recovery_fixup
-        + report.heal_repairs_evict_stale_borrow
-        + report.heal_repairs_return_escrow;
-    if per_kind != report.heal_repairs {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: heal-repair kinds sum to {per_kind} but {} repairs were journaled",
-            report.heal_repairs
-        ));
-    }
-    if !quiesced {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: federation did not quiesce after the heal"));
-    }
-    Ok(FedChaosReport {
-        report,
-        ledger_checks: checks,
-        quiesced,
-    })
-}
-
-/// When `TESTKIT_FAULT_DIR` is set, persist the failing run's fault (and
-/// partition) schedule, WAL streams, and flight-recorder dump for offline
-/// replay.
-fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec: &str) {
-    let Ok(dir) = std::env::var("TESTKIT_FAULT_DIR") else {
-        return;
-    };
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(format!("{dir}/partition-seed-{seed}.schedule.txt"), schedule);
-    for (shard, text) in wals {
-        let _ = std::fs::write(
-            format!("{dir}/partition-seed-{seed}-shard-{shard}.wal"),
-            text,
-        );
-    }
-    let _ = std::fs::write(
-        format!("{dir}/partition-seed-{seed}.flightrec.jsonl"),
-        flightrec,
-    );
+    run_chaos(seed, generate_partition(seed), "partition")
 }
 
 // ----------------------------------------------------------------------
